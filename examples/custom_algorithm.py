@@ -37,6 +37,10 @@ class LabelPropagation(VertexProgram):
 
     name = "labelprop"
     domain = "ga"
+    #: The mutable state arrays set up in ``init``: the engine's health
+    #: checks guard and hash exactly these. ``_weight`` is a constant
+    #: input (derived from the graph's degrees), so it is left out.
+    state = ("label", "_changed")
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
     gather_op = "max"

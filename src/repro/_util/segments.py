@@ -76,6 +76,43 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return starts[seg_of_slot] + local
 
 
+#: ``unique_vertices`` marks ids in a length-``n`` boolean array once
+#: the id count reaches ``n / _MARK_RATIO``; below that, sorting the
+#: ids is cheaper than touching all ``n`` flags.
+_MARK_RATIO = 8
+
+
+def unique_vertices(ids: np.ndarray, n: int) -> np.ndarray:
+    """Sorted unique ``int64`` copy of vertex ids in ``[0, n)``.
+
+    The engines' replacement for ``np.unique`` on vertex-id sets: since
+    numpy 2.3, plain ``np.unique`` takes a hash-table path that costs
+    about a second on 10^6 ids. Dense id sets are deduplicated by
+    marking a boolean array and reading back the marked indices; sparse
+    ones by a sort plus adjacent-difference. Both return the same
+    array, so the branch depends only on the input size.
+
+    Raises
+    ------
+    ValidationError
+        If any id lies outside ``[0, n)``.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValidationError("frontier vertex ids out of range")
+    if ids.size * _MARK_RATIO >= n:
+        marked = np.zeros(n, dtype=bool)
+        marked[ids] = True
+        return np.flatnonzero(marked).astype(np.int64, copy=False)
+    ordered = np.sort(ids)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
     """Return the start offset of each segment given per-segment counts.
 

@@ -26,6 +26,7 @@ class ConnectedComponents(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    state = ("component", "_changed")
     gather_op = "min"
     gather_width = 1
     apply_flops_per_vertex = 2.0
@@ -73,9 +74,11 @@ class ConnectedComponents(VertexProgram):
         self._changed[:] = False
 
     def result(self, ctx) -> dict:
-        labels = self.component.astype(np.int64)
+        # One sort-based pass: with return_counts numpy skips the hash
+        # path plain np.unique takes since 2.3 (~20x slower at 10^6).
+        _, sizes = np.unique(self.component.astype(np.int64),
+                             return_counts=True)
         return {
-            "n_components": int(np.unique(labels).size),
-            "largest_component": int(np.bincount(
-                np.unique(labels, return_inverse=True)[1]).max()),
+            "n_components": int(sizes.size),
+            "largest_component": int(sizes.max()),
         }

@@ -44,6 +44,7 @@ class ApproximateDiameter(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    state = ("masks", "_mask_changed")
     gather_op = "or"
     gather_dtype = np.uint64
     apply_flops_per_vertex = 4.0

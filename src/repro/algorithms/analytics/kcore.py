@@ -27,6 +27,7 @@ class KCoreDecomposition(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    state = ("alive", "core", "_removed_now")
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 2.0

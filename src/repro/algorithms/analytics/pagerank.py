@@ -36,6 +36,9 @@ class PageRank(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks);
+    #: ``_inv_deg`` is the graph's read-only inverse degree.
+    state = ("rank", "_delta")
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 3.0

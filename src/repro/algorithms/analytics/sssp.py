@@ -34,6 +34,8 @@ class SingleSourceShortestPath(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_weights`` is the graph's edge weights.
+    state = ("dist", "_changed")
     gather_op = "min"
     gather_width = 1
     apply_flops_per_vertex = 2.0

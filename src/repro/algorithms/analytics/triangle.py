@@ -41,6 +41,8 @@ class TriangleCounting(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_edge_keys`` is derived from the graph.
+    state = ("counts", "_edge_has_triangle")
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 1.0

@@ -46,6 +46,8 @@ class AlternatingLeastSquares(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_is_user`` is a problem input.
+    state = ("factors", "_delta")
     gather_op = "sum"
 
     def __init__(self, k: int = 4, reg: float = 0.08, tol: float = 0.02) -> None:

@@ -37,6 +37,8 @@ class NonNegativeMatrixFactorization(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_is_user`` is a problem input.
+    state = ("factors",)
     gather_op = "sum"
 
     def __init__(self, k: int = 4) -> None:

@@ -44,6 +44,7 @@ class StochasticGradientDescent(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    state = ("factors",)
     gather_op = "sum"
 
     def __init__(self, k: int = 4, lr: float = 0.02, reg: float = 0.05,

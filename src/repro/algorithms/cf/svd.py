@@ -45,6 +45,8 @@ class LanczosSVD(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_is_user`` is a problem input.
+    state = ("val", "_u_prev", "_v_cur", "singular_values")
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 2.0

@@ -49,6 +49,8 @@ class KMeansClustering(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``points`` is a problem input.
+    state = ("assignment", "centers", "_changed")
     gather_op = "sum"
 
     def __init__(self, k: int = 4, reward: float = 0.05,

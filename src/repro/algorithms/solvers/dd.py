@@ -50,6 +50,9 @@ class DualDecomposition(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks);
+    #: ``_unary``/``_tables`` are problem inputs.
+    state = ("label", "_duals_cur", "_duals_next")
     gather_op = "sum"
 
     def __init__(self, step0: float = 0.5) -> None:

@@ -34,6 +34,8 @@ class JacobiSolver(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks); ``_b``/``_diag`` are problem inputs.
+    state = ("x",)
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 3.0

@@ -44,6 +44,9 @@ class LoopyBeliefPropagation(VertexProgram):
 
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
+    #: Mutable state (health checks);
+    #: ``_prior_log`` is derived from a problem input.
+    state = ("belief", "_msg_cur", "_msg_next", "_changed")
     gather_op = "sum"
 
     def __init__(self, smoothness: float = 1.0, tol: float = 1e-3) -> None:

@@ -190,7 +190,7 @@ class AsynchronousEngine:
             )
 
         started = time.perf_counter()
-        initial = np.unique(np.asarray(program.init(ctx), dtype=np.int64))
+        initial = ctx.canonical_frontier(program.init(ctx))
         ctx.drain_extra_work()
         scheduler = (_FifoScheduler(graph.n_vertices)
                      if opts.scheduler == "fifo"
@@ -207,7 +207,7 @@ class AsynchronousEngine:
             work_model=opts.work_model,
             engine="asynchronous",
         )
-        monitor = build_monitor(opts)
+        monitor = build_monitor(opts, program, ctx)
         deadline = Deadline(opts.wall_clock_budget_s)
 
         g_ptr, g_idx, g_eid = self._adjacency(graph, program.gather_dir)
@@ -293,12 +293,17 @@ class AsynchronousEngine:
                 # arbitrary |V|-step slice of the scheduler churn, so
                 # its vertex set varies even when the computation makes
                 # no progress. The state arrays capture all progress.
+                health_started = (time.perf_counter() if round_sampled
+                                  else 0.0)
                 verdict = monitor.observe(
                     program,
                     iteration=round_index,
                     frontier=None,
                     work=round_work,
                 )
+                if round_sampled:
+                    obs.phase("health",
+                              time.perf_counter() - health_started)
                 round_index += 1
                 round_steps = round_reads = round_msgs = 0
                 round_work = 0.0

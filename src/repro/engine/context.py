@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro._util.errors import ValidationError
+from repro._util.segments import unique_vertices
 from repro.generators.problem import ProblemInstance
 from repro.generators.rng import make_rng
 
@@ -55,6 +56,9 @@ class Context:
         self._seed = int(seed)
         self.rng = make_rng(seed, "run")
         self._extra_work: float = 0.0
+        self._all_vertices = np.arange(problem.graph.n_vertices,
+                                       dtype=np.int64)
+        self._all_vertices.setflags(write=False)
 
     @property
     def graph(self) -> "Graph":
@@ -104,5 +108,29 @@ class Context:
     # Frontier helpers
     # ------------------------------------------------------------------
     def all_vertices(self) -> np.ndarray:
-        """Convenience: the full vertex id range (for always-active programs)."""
-        return np.arange(self.n_vertices, dtype=np.int64)
+        """The full vertex id range (for always-active programs).
+
+        One cached read-only array per run: always-active programs
+        return it every iteration, and the engines and the health
+        monitor recognise it by identity instead of re-deduplicating
+        or re-hashing ``n`` ids.
+        """
+        return self._all_vertices
+
+    def canonical_frontier(self, vids: np.ndarray) -> np.ndarray:
+        """Sorted unique in-range ``int64`` frontier.
+
+        A frontier holding every vertex is always returned as
+        :meth:`all_vertices` itself, so "all vertices" has one
+        representation however a program produced it.
+
+        Raises
+        ------
+        ValidationError
+            If any id lies outside ``[0, n_vertices)``.
+        """
+        full = self.all_vertices()
+        if vids is full:
+            return full
+        out = unique_vertices(vids, self.n_vertices)
+        return full if out.size == full.size else out

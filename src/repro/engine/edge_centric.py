@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro._util.errors import ValidationError
+from repro._util.segments import concat_ranges, unique_vertices
 from repro._util.timing import Deadline
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import (
@@ -114,7 +115,7 @@ class EdgeCentricEngine:
         graph = problem.graph
 
         started = time.perf_counter()
-        frontier = np.unique(np.asarray(program.init(ctx), dtype=np.int64))
+        frontier = ctx.canonical_frontier(program.init(ctx))
         ctx.drain_extra_work()
 
         # The full arc list in (source, target, eid) form, as streamed.
@@ -154,7 +155,7 @@ class EdgeCentricEngine:
             work_model="unit",
             engine="edge-centric",
         )
-        monitor = build_monitor(opts)
+        monitor = build_monitor(opts, program, ctx)
         deadline = Deadline(opts.wall_clock_budget_s)
         obs = engine_observer("edge-centric", program.name)
 
@@ -179,7 +180,8 @@ class EdgeCentricEngine:
                                     problem=problem)
             if snapshot is not None:
                 restore_runtime(snapshot.payload, program, ctx, monitor)
-                frontier = snapshot.payload["frontier"]
+                frontier = ctx.canonical_frontier(
+                    snapshot.payload["frontier"])
                 source_live = snapshot.payload["source_live"]
                 trace = snapshot.trace
                 start_iteration = snapshot.iteration
@@ -233,8 +235,6 @@ class EdgeCentricEngine:
                 mark = now
 
             # ---- Scatter: same signal semantics as the sync engine.
-            from repro._util.segments import concat_ranges
-
             starts = graph.out_ptr[frontier]
             ends = graph.out_ptr[frontier + 1]
             slots = concat_ranges(starts, ends)
@@ -243,12 +243,12 @@ class EdgeCentricEngine:
             mask = np.asarray(
                 program.scatter_edges(ctx, center, nbr,
                                       graph.out_eid[slots]), dtype=bool)
-            signaled = np.unique(nbr[mask])
+            signaled = unique_vertices(nbr[mask], graph.n_vertices)
             # Next iteration streams the vertices that just emitted
             # updates (a changed vertex improving no neighbor now can
             # never improve one later under a monotone reduction).
             source_live[:] = False
-            source_live[np.unique(center[mask])] = True
+            source_live[center[mask]] = True
 
             program.on_iteration_end(ctx)
             monitor.inject_state_fault(program, iteration)
@@ -274,16 +274,18 @@ class EdgeCentricEngine:
                     seconds=(sum(phase_times.values())
                              if sampled else None),
                     phases=phase_times)
+            health_started = time.perf_counter() if sampled else 0.0
             verdict = monitor.observe(program, iteration=iteration,
                                       frontier=frontier, work=work)
+            if sampled:
+                obs.phase("health", time.perf_counter() - health_started)
             if verdict is not None:
                 mark_degraded(trace, verdict)
                 if session is not None:
                     flush(iteration + 1)
                 break
-            frontier = np.unique(np.asarray(
-                program.select_next_frontier(ctx, signaled),
-                dtype=np.int64))
+            frontier = ctx.canonical_frontier(
+                program.select_next_frontier(ctx, signaled))
             if program.converged(ctx):
                 stop_reason = "converged"
                 trace.converged = True

@@ -35,7 +35,11 @@ from typing import Any
 import numpy as np
 
 from repro._util.errors import ResourceLimitError, ValidationError
-from repro._util.segments import concat_ranges, segmented_reduce
+from repro._util.segments import (
+    concat_ranges,
+    segmented_reduce,
+    unique_vertices,
+)
 from repro._util.timing import Deadline, Stopwatch
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import (
@@ -164,7 +168,7 @@ class SynchronousEngine:
             )
 
         started = time.perf_counter()
-        frontier = self._canonical_frontier(program.init(ctx), graph.n_vertices)
+        frontier = ctx.canonical_frontier(program.init(ctx))
         ctx.drain_extra_work()  # init-phase work is not an iteration's WORK
 
         trace = RunTrace(
@@ -177,7 +181,7 @@ class SynchronousEngine:
             engine="synchronous",
         )
 
-        monitor = build_monitor(opts)
+        monitor = build_monitor(opts, program, ctx)
         deadline = Deadline(opts.wall_clock_budget_s)
         obs = engine_observer("synchronous", program.name)
 
@@ -189,7 +193,8 @@ class SynchronousEngine:
                                     problem=problem)
             if snapshot is not None:
                 restore_runtime(snapshot.payload, program, ctx, monitor)
-                frontier = snapshot.payload["frontier"]
+                frontier = ctx.canonical_frontier(
+                    snapshot.payload["frontier"])
                 trace = snapshot.trace
                 start_iteration = snapshot.iteration
                 elapsed_before = snapshot.elapsed_s
@@ -264,8 +269,11 @@ class SynchronousEngine:
                     seconds=(time.perf_counter() - obs_started
                              if sampled else None),
                     phases=phase_times)
+            health_started = time.perf_counter() if sampled else 0.0
             verdict = monitor.observe(program, iteration=iteration,
                                       frontier=active, work=counters.work)
+            if sampled:
+                obs.phase("health", time.perf_counter() - health_started)
             if verdict is not None:
                 mark_degraded(trace, verdict)
                 if session is not None:
@@ -372,14 +380,21 @@ class SynchronousEngine:
         if self.options.work_model != "measured":
             unit = program.apply_flops_per_vertex * frontier.size + extra
             counters.work += unit * self.options.unit_scale
+        if timed:
+            now = time.perf_counter()
+            phase_times["scatter"] = now - mark
+            mark = now
+
+        # ---- Next frontier -------------------------------------------
         nxt = program.select_next_frontier(ctx, signaled)
         if nxt is not signaled:
-            nxt = self._canonical_frontier(nxt, graph.n_vertices)
-        # (else: every engine scatter path already produces a sorted
-        # unique in-range array — re-canonicalizing it would only
-        # re-sort the hot loop's largest intermediate.)
+            nxt = ctx.canonical_frontier(nxt)
+        elif nxt.size == graph.n_vertices:
+            # Every engine scatter path already yields a sorted unique
+            # in-range array; a full one becomes the run's cached range.
+            nxt = ctx.all_vertices()
         if timed:
-            phase_times["scatter"] = time.perf_counter() - mark
+            phase_times["frontier"] = time.perf_counter() - mark
         return counters, nxt
 
     # ------------------------------------------------------------------
@@ -454,7 +469,7 @@ class SynchronousEngine:
                 f"{program.name}.scatter_edges returned shape {mask.shape}, "
                 f"expected ({slots.size},)"
             )
-        signaled = np.unique(nbr[mask])
+        signaled = unique_vertices(nbr[mask], ctx.n_vertices)
         return signaled, int(mask.sum())
 
     def _scatter_reference(self, program, ctx, frontier, ptr, idx, eid):
@@ -478,7 +493,8 @@ class SynchronousEngine:
             if mask.any():
                 signaled_parts.append(nbr[mask])
         if signaled_parts:
-            signaled = np.unique(np.concatenate(signaled_parts))
+            signaled = unique_vertices(np.concatenate(signaled_parts),
+                                       ctx.n_vertices)
         else:
             signaled = np.empty(0, dtype=np.int64)
         return signaled, n_msgs
@@ -486,13 +502,6 @@ class SynchronousEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _canonical_frontier(vids: np.ndarray, n_vertices: int) -> np.ndarray:
-        vids = np.asarray(vids, dtype=np.int64).ravel()
-        if vids.size and (vids.min() < 0 or vids.max() >= n_vertices):
-            raise ValidationError("frontier vertex ids out of range")
-        return np.unique(vids)
-
     @staticmethod
     def _check_gather_shape(program, contributions, n_edges_sel):
         contributions = np.asarray(contributions, dtype=program.gather_dtype)

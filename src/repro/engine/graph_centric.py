@@ -33,7 +33,12 @@ from typing import Any
 import numpy as np
 
 from repro._util.errors import ValidationError
-from repro._util.segments import REDUCE_IDENTITY, concat_ranges, segmented_reduce
+from repro._util.segments import (
+    REDUCE_IDENTITY,
+    concat_ranges,
+    segmented_reduce,
+    unique_vertices,
+)
 from repro._util.timing import Deadline
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import (
@@ -119,7 +124,7 @@ class GraphCentricEngine:
         graph = problem.graph
 
         started = time.perf_counter()
-        frontier = np.unique(np.asarray(program.init(ctx), dtype=np.int64))
+        frontier = ctx.canonical_frontier(program.init(ctx))
         ctx.drain_extra_work()
 
         partition = (np.arange(graph.n_vertices, dtype=np.int64)
@@ -144,7 +149,7 @@ class GraphCentricEngine:
             work_model="unit",
             engine="graph-centric",
         )
-        monitor = build_monitor(opts)
+        monitor = build_monitor(opts, program, ctx)
         deadline = Deadline(opts.wall_clock_budget_s)
 
         identity = REDUCE_IDENTITY[program.gather_op]
@@ -157,7 +162,8 @@ class GraphCentricEngine:
                                     problem=problem)
             if snapshot is not None:
                 restore_runtime(snapshot.payload, program, ctx, monitor)
-                frontier = snapshot.payload["frontier"]
+                frontier = ctx.canonical_frontier(
+                    snapshot.payload["frontier"])
                 trace = snapshot.trace
                 start_superstep = snapshot.iteration
                 elapsed_before = snapshot.elapsed_s
@@ -238,8 +244,9 @@ class GraphCentricEngine:
                     internal = hit[partition[hit] == p]
                     external = hit[partition[hit] != p]
                     cross_msgs += int(external.size)
-                    next_frontier_parts.append(np.unique(external))
-                    local = np.unique(internal)
+                    next_frontier_parts.append(
+                        unique_vertices(external, graph.n_vertices))
+                    local = unique_vertices(internal, graph.n_vertices)
                 if local.size:
                     # Inner-sweep cap hit: carry the residue into the
                     # next superstep rather than dropping it.
@@ -268,15 +275,19 @@ class GraphCentricEngine:
                     seconds=elapsed,
                     phases=({"local-compute": elapsed}
                             if sampled else None))
+            health_started = time.perf_counter() if sampled else 0.0
             verdict = monitor.observe(program, iteration=superstep,
                                       frontier=frontier, work=work)
+            if sampled:
+                obs.phase("health", time.perf_counter() - health_started)
             if verdict is not None:
                 mark_degraded(trace, verdict)
                 if session is not None:
                     flush(superstep + 1)
                 break
             if next_frontier_parts:
-                frontier = np.unique(np.concatenate(next_frontier_parts))
+                frontier = ctx.canonical_frontier(
+                    np.concatenate(next_frontier_parts))
             else:
                 frontier = np.empty(0, dtype=np.int64)
             # Contract parity with the other engines: consult the

@@ -313,7 +313,7 @@ class FusedKernels:
 
     def _verify_scatter(self, ctx: "Context", frontier: np.ndarray,
                         signaled: np.ndarray, n_msgs: int) -> None:
-        from repro._util.segments import concat_ranges
+        from repro._util.segments import concat_ranges, unique_vertices
 
         graph = self.graph
         program = self.program
@@ -327,7 +327,7 @@ class FusedKernels:
         center = np.repeat(frontier, ends - starts)
         mask = np.asarray(
             program.scatter_edges(ctx, center, nbr, eid[slots]), dtype=bool)
-        ref_signaled = np.unique(nbr[mask])
+        ref_signaled = unique_vertices(nbr[mask], graph.n_vertices)
         if n_msgs != int(mask.sum()) or not np.array_equal(
                 signaled, ref_signaled):
             raise AssertionError(

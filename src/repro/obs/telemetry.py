@@ -450,8 +450,13 @@ class EngineObserver:
             tel.observe("engine_iteration_seconds", seconds, **labels)
         if phases:
             for phase, dt in phases.items():
-                tel.observe("engine_phase_seconds", dt,
-                            phase=phase, **labels)
+                self.phase(phase, dt)
+
+    def phase(self, phase: str, seconds: float) -> None:
+        """One sampled phase timing; engines call it directly for a
+        phase that runs after :meth:`iteration` (the health check)."""
+        self.tel.observe("engine_phase_seconds", seconds, phase=phase,
+                         engine=self.engine, algorithm=self.algorithm)
 
     def direction(self, *, mode: str, active_fraction: float,
                   switched: bool) -> None:

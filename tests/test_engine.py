@@ -27,6 +27,7 @@ class Flood(VertexProgram):
 
     name = "flood"
     domain = "ga"
+    state = ("level", "_changed")
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
     gather_op = "min"
@@ -60,6 +61,7 @@ class NoGather(VertexProgram):
 
     name = "nogather"
     domain = "ga"
+    state = ()
     gather_dir = Direction.NONE
     scatter_dir = Direction.OUT
 
@@ -85,6 +87,7 @@ class Hungry(VertexProgram):
 
     name = "hungry"
     domain = "ga"
+    state = ()
     gather_dir = Direction.NONE
     scatter_dir = Direction.NONE
 
@@ -101,6 +104,7 @@ class Hungry(VertexProgram):
 class BadGatherShape(VertexProgram):
     name = "badshape"
     domain = "ga"
+    state = ()
     gather_dir = Direction.IN
     scatter_dir = Direction.NONE
 

@@ -25,6 +25,7 @@ class ForwardSum(VertexProgram):
 
     name = "forward-sum"
     domain = "ga"
+    state = ("value", "collected")
     gather_dir = Direction.OUT
     scatter_dir = Direction.IN  # signal predecessors
     gather_op = "sum"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util.errors import GraphConstructionError, ValidationError
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, _build_csr
 
 
 def toy_graph(directed=False):
@@ -191,3 +191,27 @@ def test_csr_invariants(n, m, directed, seed):
     # Total degree equals arc count.
     assert int(g.out_degree.sum()) == g.n_arcs
     assert int(g.in_degree.sum()) == g.n_arcs
+
+
+@given(n=st.integers(1, 40), m=st.integers(0, 200),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_build_csr_matches_lexsort(n, m, seed):
+    """The combined-key stable argsort permutes arcs exactly like
+    ``np.lexsort((dst, src))``, duplicate arcs included."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    eid = rng.permutation(m)
+    ptr, d, e = _build_csr(n, src, dst, eid)
+    order = np.lexsort((dst, src))
+    np.testing.assert_array_equal(d, dst[order])
+    np.testing.assert_array_equal(e, eid[order])
+    np.testing.assert_array_equal(
+        ptr, np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))))
+
+
+def test_build_csr_rejects_overflowing_key():
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(GraphConstructionError, match="overflow"):
+        _build_csr(2**32, empty, empty, empty)

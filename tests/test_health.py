@@ -10,7 +10,12 @@ from repro._util.errors import (
     TraceInvariantError,
     ValidationError,
 )
-from repro.behavior.run import INJECT_ENGINE_FAULT_ENV, run_computation
+from repro.algorithms.registry import create
+from repro.behavior.run import (
+    INJECT_ENGINE_FAULT_ENV,
+    build_engine_options,
+    run_computation,
+)
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.behavior.validate import validate_trace
 from repro.engine import (
@@ -28,7 +33,12 @@ from repro.engine import (
     SynchronousEngine,
     VertexProgram,
 )
-from repro.experiments.config import ExperimentMatrix, GraphSpec
+from repro.engine.health import FAULT_KINDS, state_arrays
+from repro.experiments.config import (
+    CORPUS_ALGORITHMS,
+    ExperimentMatrix,
+    GraphSpec,
+)
 from repro.experiments.corpus import build_corpus, execute_planned_run
 from repro.experiments.failures import classify_exception
 from repro.experiments.results import ResultStore
@@ -58,6 +68,7 @@ class PathologicalProgram(VertexProgram):
 
     name = "pathological"
     domain = "ga"
+    state = ("values",)
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
     gather_op = "min"
@@ -229,6 +240,23 @@ class TestHealthMonitor:
         assert monitor.observe(program, iteration=0,
                                frontier=np.arange(3), work=1.0) is None
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32,
+                                       np.float64, np.longdouble])
+    def test_peak_is_max_abs_finite_value(self, dtype):
+        from repro.engine.health import _peak
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            arr = (rng.standard_normal(n) * 100).astype(dtype)
+            k = int(rng.integers(0, n + 1))
+            arr[rng.permutation(n)[:k]] = rng.choice([np.inf, -np.inf], k)
+            finite = arr[np.isfinite(arr)]
+            want = float(np.abs(finite).max()) if finite.size else -np.inf
+            assert _peak(arr) == want
+            arr[0] = np.nan
+            assert np.isnan(_peak(arr))
+
     def test_off_policy_observes_nothing(self):
         monitor = HealthMonitor(policy="off")
         program = PathologicalProgram("healthy")
@@ -256,6 +284,54 @@ class TestFaultPlan:
         plan = FaultPlan(kind="counter", iteration=2)
         assert plan.corrupt_edge_reads(10, 1) == 10
         assert plan.corrupt_edge_reads(10, 2) == -11
+
+
+@pytest.fixture(scope="module")
+def corpus_problems():
+    """One tiny problem per corpus algorithm: its first TINY cell."""
+    problems = {}
+    for planned in ExperimentMatrix(TINY_PROFILE).corpus_runs():
+        if planned.algorithm not in problems:
+            problems[planned.algorithm] = planned.spec.generate()
+    return problems
+
+
+class TestFaultsOnEveryCorpusAlgorithm:
+    """Every fault kind on every corpus algorithm ends in the outcome
+    the health subsystem promises, never in an unrelated crash (such
+    as writing into a read-only graph array)."""
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("algorithm", CORPUS_ALGORITHMS)
+    def test_fault_is_caught(self, algorithm, kind, corpus_problems):
+        program = create(algorithm)
+        engine = SynchronousEngine(build_engine_options(
+            algorithm, {"inject_fault": f"{kind}@1"}))
+        try:
+            trace = engine.run(program, corpus_problems[algorithm])
+        except (NumericError, NonConvergenceError) as exc:
+            outcome = exc
+        else:
+            outcome = trace
+        has_float_state = any(
+            np.issubdtype(arr.dtype, np.floating)
+            for arr in state_arrays(program).values())
+
+        if kind == "counter":
+            assert isinstance(outcome, RunTrace)
+            with pytest.raises(TraceInvariantError):
+                validate_trace(outcome)
+        elif not has_float_state:
+            # Integer/boolean programs (k-core, diameter) hold nothing
+            # a NaN or a scale can corrupt.
+            assert isinstance(outcome, RunTrace)
+            assert not outcome.degraded
+            validate_trace(outcome)
+        elif kind == "nan":
+            assert isinstance(outcome, NumericError)
+            assert outcome.iteration == 1
+        else:
+            assert isinstance(outcome, (NonConvergenceError, NumericError))
 
 
 class TestValidateTrace:

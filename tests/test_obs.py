@@ -251,6 +251,32 @@ class TestEngineObserver:
                              **labels).count == 1
 
 
+class TestEnginePhaseAttribution:
+    PHASES = ("gather", "apply", "scatter", "frontier", "health")
+
+    def test_health_and_frontier_phases_close_iteration_time(self):
+        from repro.algorithms.registry import create
+        from repro.engine.engine import SynchronousEngine
+        from repro.generators import powerlaw_graph
+
+        problem = powerlaw_graph(3000, 2.5, seed=5)
+        dark = SynchronousEngine().run(create("pagerank"), problem)
+        tel = configure("full")
+        lit = SynchronousEngine().run(create("pagerank"), problem)
+        # Phase timing is observational only.
+        assert [r.__dict__ for r in lit.iterations] == \
+            [r.__dict__ for r in dark.iterations]
+
+        labels = {"engine": "synchronous", "algorithm": "pagerank"}
+        phases = {phase: tel.histogram("engine_phase_seconds",
+                                       phase=phase, **labels)
+                  for phase in self.PHASES}
+        for phase, hist in phases.items():
+            assert hist.count == lit.n_iterations, phase
+        covered = sum(hist.sum for hist in phases.values())
+        assert 0.5 * lit.wall_time_s <= covered <= lit.wall_time_s
+
+
 class TestEventLog:
     def test_rotation_keeps_bounded_disk(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -532,3 +558,24 @@ class TestStatsRendering:
             "done": 1, "total": 2, "algorithm": "cc", "label": "x",
             "source": "cache", "status": "ok"})
         assert "[1/2] cc@x: status=ok source=cache" in line
+
+
+class TestBenchCompareEngineSpeedups:
+    @staticmethod
+    def _write(root, speedups):
+        root.mkdir(parents=True, exist_ok=True)
+        (root / "BENCH_engine.json").write_text(
+            json.dumps({"speedup": speedups}), encoding="utf-8")
+
+    def test_dropped_engine_speedup_fails(self, tmp_path):
+        from repro.obs.benchdiff import compare_artifacts
+
+        self._write(tmp_path / "base",
+                    {"pagerank/sync": 5.7, "jacobi/sync": 15.2})
+        self._write(tmp_path / "cand",
+                    {"pagerank/sync": 3.0, "jacobi/sync": 15.0})
+        report = compare_artifacts(tmp_path / "base", tmp_path / "cand")
+        status = {e["path"]: e["status"] for e in report["entries"]}
+        assert status == {"speedup.pagerank/sync": "fail",
+                          "speedup.jacobi/sync": "ok"}
+        assert report["failed"]

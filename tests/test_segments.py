@@ -11,6 +11,7 @@ from repro._util.segments import (
     concat_ranges,
     segment_offsets,
     segmented_reduce,
+    unique_vertices,
 )
 
 
@@ -144,3 +145,47 @@ class TestSegmentedReduce:
                 np.testing.assert_allclose(got[i], fn(vals[pos:pos + c]),
                                            rtol=1e-12, atol=1e-12 * 10 * c)
             pos += c
+
+
+class TestUniqueVertices:
+    """``unique_vertices`` must equal ``np.unique`` on both of its
+    branches (boolean marks for dense id sets, sort for sparse ones)."""
+
+    @staticmethod
+    def _check(ids, n):
+        got = unique_vertices(ids, n)
+        want = np.unique(np.asarray(ids, dtype=np.int64))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty(self):
+        self._check(np.empty(0, dtype=np.int64), 10)
+        self._check([], 10)
+
+    def test_all_vertices(self):
+        self._check(np.arange(1000)[::-1], 1000)
+
+    def test_heavy_duplicates(self):
+        rng = np.random.default_rng(0)
+        self._check(rng.integers(0, 5, 10_000), 1000)  # dense branch
+        self._check(np.full(7, 3), 1000)  # sparse branch
+
+    @pytest.mark.parametrize("size", [1, 10, 100, 1_000, 10_000, 100_000])
+    def test_random_subsets(self, size):
+        rng = np.random.default_rng(size)
+        self._check(rng.integers(0, 50_000, size), 50_000)
+
+    @given(st.lists(st.integers(0, 63), max_size=200),
+           st.integers(64, 5_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_np_unique(self, ids, n):
+        self._check(np.asarray(ids, dtype=np.int64), n)
+
+    def test_accepts_unsorted_nd_input(self):
+        self._check(np.array([[5, 1], [5, 0]]), 6)
+
+    @pytest.mark.parametrize("ids", [[-1, 2], [0, 10], [10]])
+    def test_rejects_out_of_range(self, ids):
+        with pytest.raises(ValidationError,
+                           match="frontier vertex ids out of range"):
+            unique_vertices(np.asarray(ids), 10)
