@@ -12,7 +12,9 @@ Arms alternate and the best-of-N wall per arm cancels noise. At the
 paper's corpus scale (n = 215) both engines are fast; at n = 2000 the
 fast engine must clear a >=5x speedup gate while returning scores
 equal to the legacy engine's to 1e-9 and identical index tuples. A
-coverage section validates the beam parity and showcases the
+coverage section validates the beam parity, gates the lazy coverage
+beam to tie or beat the legacy wall at n = 215, records how many
+(state, candidate) pairs its gain bound pruned, and showcases the
 lazy-greedy selector. Results merge into
 ``benchmarks/artifacts/BENCH_ensemble.json`` (uploaded by CI's
 perf-smoke step). The n = 10_000 arm runs only when
@@ -29,6 +31,7 @@ import pytest
 
 from repro.behavior.space import BehaviorSpace, BehaviorVector
 from repro.ensemble.search import best_ensemble, best_ensemble_curve
+from repro.obs.telemetry import configure, deactivate
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 ARTIFACT = "BENCH_ensemble.json"
@@ -128,6 +131,18 @@ def test_bench_coverage_validation():
         walls[engine] = time.perf_counter() - started
     _assert_curves_agree(curves["fast"], curves["legacy"])
 
+    # Pair accounting from an untimed repeat, so the counters cost the
+    # timed arm nothing.
+    tel = configure("basic")
+    try:
+        best_ensemble_curve(pool, sizes, "coverage", samples=samples,
+                            beam_width=BEAM_WIDTH, engine="fast")
+        pairs = {outcome: int(tel.counter_value(
+            "ensemble_coverage_pairs_total", outcome=outcome))
+            for outcome in ("evaluated", "pruned")}
+    finally:
+        deactivate()
+
     started = time.perf_counter()
     greedy = best_ensemble(pool, 20, "coverage", samples=samples,
                            engine="fast", strategy="greedy")
@@ -136,8 +151,13 @@ def test_bench_coverage_validation():
         "n": 215, "sizes": sizes, "n_samples": 4_000,
         "beam_wall_s": walls,
         "beam_scores": {str(s): curves["fast"][s].score for s in sizes},
+        "beam_pairs": pairs,
         "greedy_size20": {"wall_s": greedy_wall, "score": greedy.score},
     })
+    # The fast engine must tie or beat the legacy reference on the
+    # coverage beam as well as on spread.
+    assert walls["fast"] <= walls["legacy"], walls
+    assert pairs["pruned"] > 0, pairs
     # The lazy-greedy selector is the corpus-scale coverage path; it
     # must come in well under the beam walls.
     assert greedy_wall < walls["legacy"]

@@ -10,10 +10,18 @@ copy per state. This module provides the corpus-scale replacement:
   the pool×samples distances), built on demand through a byte-bounded
   LRU :class:`BlockCache` with hit/miss telemetry. Tiles may be stored
   float32 (``dtype``); every *score* is accumulated in float64.
-- **Batched beam** — one masked matrix operation per level scores all
-  beam states' extensions at once; selection is tie-stable (see
-  :func:`tie_sorted`) so results are deterministic across NumPy
+- **Batched spread beam** — one masked matrix operation per level
+  scores all beam states' extensions at once; selection is tie-stable
+  (see :func:`tie_sorted`) so results are deterministic across NumPy
   versions and identical to the tie-stable legacy reference.
+- **Lazy, bound-pruned coverage beam** — the level-1 table
+  ``Σ_s min(D_i, D_j)`` is built once per engine and shared by every
+  search on it. Each state carries per-candidate marginal-gain upper
+  bounds (coverage is submodular, so a gain measured at a subset bounds
+  the gain at the superset); a level scores only feasible pairs, in
+  descending-bound batches, and stops once no unscored pair can reach
+  the tie-stable top ``beam_width``. Selections equal the exhaustive
+  level's.
 - **Incremental swap refinement** — per-position replacement scoring
   reuses a maintained column-sum (spread) or per-sample first/second
   minimum (coverage) instead of recomputing ``D[others].min(axis=0)``
@@ -24,12 +32,15 @@ copy per state. This module provides the corpus-scale replacement:
   classic ``(1 − 1/e)`` approximation guarantee.
 - **Parallel scoring** — per-level fan-out of beam-state batches /
   candidate tiles over a thread pool (NumPy releases the GIL in the
-  underlying kernels). Chunk boundaries are fixed by ``block_bytes``,
-  never by ``workers``, so results are bitwise independent of the
-  worker count.
+  underlying kernels). Chunk boundaries are fixed by ``block_bytes``
+  (and coverage batches by the bounds and scores), never by
+  ``workers``, so results are bitwise independent of the worker count.
 
 Telemetry (all levels, cheap when off): ``ensemble_search_states_total``
-counts scored beam states, ``ensemble_block_cache_total{kind,outcome}``
+counts scored beam states, ``ensemble_coverage_pairs_total{outcome}``
+counts coverage (state, candidate) pairs past the first level as
+``evaluated`` or ``pruned`` by the bound,
+``ensemble_block_cache_total{kind,outcome}``
 tracks tile reuse, ``ensemble_block_build_seconds`` times tile builds,
 and ``ensemble_greedy_reevaluations`` histograms CELF re-evaluations
 per selection step.
@@ -123,6 +134,13 @@ def tie_argmax(scores: np.ndarray) -> int:
     return int(ties.min())
 
 
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The ``k``-th largest value, or the smallest when there are fewer."""
+    if values.size <= k:
+        return float(values.min())
+    return float(np.partition(values, values.size - k)[values.size - k])
+
+
 def boundary_positions(scores: np.ndarray, width: int) -> np.ndarray:
     """Positions that can belong to the tie-stable top ``width``.
 
@@ -136,8 +154,7 @@ def boundary_positions(scores: np.ndarray, width: int) -> np.ndarray:
     n_finite = int(np.count_nonzero(finite))
     if n_finite == 0:
         return np.empty(0, dtype=np.intp)
-    k = min(width, n_finite)
-    cut = np.partition(scores, scores.size - k)[scores.size - k]
+    cut = _kth_largest(scores, min(width, n_finite))
     return np.flatnonzero(finite & (scores >= cut - TIE_TOL))
 
 
@@ -317,6 +334,8 @@ class SampleBlocks:
         """Distance rows for the given pool members, ``(len(idx), m)``."""
         idx = np.asarray(list(idx) if not isinstance(idx, np.ndarray)
                          else idx, dtype=np.intp)
+        if self.n_blocks == 1:
+            return np.take(self.block(0)[2], idx, axis=0)
         out = np.empty((idx.size, self.m), dtype=self.dtype)
         bids = idx // self.rows_per_block
         for bid in np.unique(bids):
@@ -369,6 +388,8 @@ class FastEngine:
                                      dtype=dtype)
             self.pair = None
             self.m = self.samp.m
+        self._row_sums: "np.ndarray | None" = None
+        self._pair_sums: "np.ndarray | None" = None
 
     # -- shared helpers ------------------------------------------------
 
@@ -390,6 +411,14 @@ class FastEngine:
         if tel.enabled:
             tel.inc("ensemble_search_states_total", float(n_states),
                     metric=self.metric, engine="fast")
+
+    def _count_pairs(self, evaluated: int, pruned: int) -> None:
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.inc("ensemble_coverage_pairs_total", float(evaluated),
+                    outcome="evaluated")
+            tel.inc("ensemble_coverage_pairs_total", float(pruned),
+                    outcome="pruned")
 
     def score_indices(self, indices: "Iterable[int]") -> float:
         """From-scratch float64 score of an arbitrary index set."""
@@ -522,142 +551,169 @@ class FastEngine:
         return new_members, totals[top][order]
 
     # -- coverage beam -------------------------------------------------
+    #
+    # A beam state b carries its payload P_b (per-sample minimum
+    # distance to its members), the float64 sum S_b of that payload and
+    # a length-n vector of marginal-gain upper bounds. Extending b by a
+    # candidate c scores Σ_s min(P_b, D_c); coverage is submodular, so
+    # the gain S_b − Σ min(P_b, D_c) of c can only shrink as b grows and
+    # any gain measured at a subset of b bounds it. Each level evaluates
+    # feasible pairs in descending-bound batches and stops once no
+    # unevaluated pair can reach the tie-stable top ``beam_width``
+    # (DESIGN §15 has the exactness argument and the rounding slack).
 
     def _coverage_row_sums(self) -> np.ndarray:
-        sums = np.empty(self.n, dtype=np.float64)
+        """``Σ_s D_i[s]`` per pool member, built once per engine."""
+        if self._row_sums is None:
+            sums = np.empty(self.n, dtype=np.float64)
 
-        def tile_sum(bid):
-            i0, i1, blk = self.samp.block(bid)
-            sums[i0:i1] = blk.sum(axis=1, dtype=np.float64)
+            def tile_sum(bid):
+                i0, i1, blk = self.samp.block(bid)
+                sums[i0:i1] = blk.sum(axis=1, dtype=np.float64)
 
-        self._map(tile_sum, list(range(self.samp.n_blocks)))
-        return sums
+            self._map(tile_sum, list(range(self.samp.n_blocks)))
+            self._row_sums = sums
+        return self._row_sums
+
+    def _coverage_pair_sums(self) -> np.ndarray:
+        """The shared level-1 table ``T[i, j] = Σ_s min(D_i, D_j)``."""
+        if self._pair_sums is None:
+            self._pair_sums = self._build_pair_sums()
+        return self._pair_sums
+
+    def _build_pair_sums(self) -> np.ndarray:
+        """Fill the upper triangle row by row, then mirror it.
+
+        Uses the same ``np.minimum(rows, payload).sum(axis=1)`` kernel
+        as the beam levels, so a singleton's gains are measured exactly
+        the way a later level would measure them.
+        """
+        n = self.n
+        table = np.empty((n, n), dtype=np.float64)
+        np.fill_diagonal(table, self._coverage_row_sums())
+        rows_per_block = self.samp.rows_per_block
+
+        def fill_row(i):
+            payload = self.samp.rows([i])[0]
+            for bid in range(i // rows_per_block, self.samp.n_blocks):
+                j0, j1, blk = self.samp.block(bid)
+                lo = max(j0, i + 1)
+                if lo < j1:
+                    table[i, lo:j1] = np.minimum(
+                        blk[lo - j0:], payload[None, :]
+                    ).sum(axis=1, dtype=np.float64)
+
+        self._map(fill_row, list(range(n - 1)))
+        upper = np.triu_indices(n, k=1)
+        table[upper[1], upper[0]] = table[upper]
+        return table
+
+    def _singleton_gains(self, idx: np.ndarray) -> np.ndarray:
+        """Exact gain of every candidate over each singleton ``{i}``."""
+        return (self._coverage_row_sums()[idx, None]
+                - self._coverage_pair_sums()[idx])
+
+    def _slack(self) -> float:
+        """Rounding slack of a bound, in min-sum units.
+
+        A bound combines four float64 sums of ``m`` non-negative terms
+        (the child's, the ancestor's, and both states' sums with the
+        candidate); each is off by at most ``γ_{m−1}·R`` in any
+        summation order, where ``R`` bounds every row sum. Three more
+        roundings form the bound, so ``8·m·u·R`` covers all of it.
+        """
+        unit = np.finfo(np.float64).eps / 2.0
+        return 8.0 * self.m * unit * float(self._coverage_row_sums().max())
 
     def _beam_coverage(self, size, beam_width):
-        members, payloads = self._level1_coverage(size, beam_width)
+        state = self._level1_coverage(size, beam_width)
         for length in range(2, size):
-            members, payloads = self._extend_coverage(
-                members, payloads, length, size, beam_width)
-        sums = payloads.sum(axis=1, dtype=np.float64)
+            state = self._extend_coverage(state, length, size, beam_width)
+        members, _payloads, sums, _bounds = state
         return [(self.diam - float(sums[b]) / self.m,
                  tuple(int(v) for v in row))
                 for b, row in enumerate(members)]
 
-    def _pairmin_sums(self, rows_a: np.ndarray,
-                      rows_b: np.ndarray) -> np.ndarray:
-        """``out[a, b] = Σ_s min(rows_a[a, s], rows_b[b, s])`` tiled.
+    def _grow(self, members, payloads, bounds, cand):
+        """Extend each (gathered) parent state by its candidate.
 
-        The broadcast temporary is transient, so it gets a few times
-        the tile budget — fewer, larger kernels beat strict residency.
+        The child inherits its parent's gain bounds, tightened by the
+        new member's singleton gains (a child's gain is bounded by the
+        gain over any of its subsets).
         """
-        na, nb = rows_a.shape[0], rows_b.shape[0]
-        out = np.zeros((na, nb), dtype=np.float64)
-        step = max(1, (4 * self.block_bytes)
-                   // max(1, na * nb * rows_a.dtype.itemsize))
-        for s0 in range(0, self.m, step):
-            s1 = min(self.m, s0 + step)
-            out += np.minimum(rows_a[:, None, s0:s1],
-                              rows_b[None, :, s0:s1]
-                              ).sum(axis=2, dtype=np.float64)
-        return out
+        payloads = np.minimum(payloads, self.samp.rows(cand))
+        return (np.concatenate([members, cand[:, None]], axis=1),
+                payloads,
+                payloads.sum(axis=1, dtype=np.float64),
+                np.minimum(bounds, self._singleton_gains(cand)))
 
     def _level1_coverage(self, size, beam_width):
+        """Rank all feasible pairs straight off the shared pair table."""
         n = self.n
-        j_max = n - size + 1
         self._count_states(n)
-        # chunk pairs (i-block, j-block); a chunk edge is sized so one
-        # member-row block stays within the tile budget, and j-chunks
-        # start past the i-chunk's diagonal (feasible pairs have i < j).
-        chunk = max(1, self.block_bytes // max(1, self.m * 8))
-        i_chunks = [(a, min(n, min(a + chunk, j_max)))
-                    for a in range(0, min(n, j_max), chunk)]
-        j_hi = j_max + 1
-        found = []
-        for i0, i1 in i_chunks:
-            if i1 <= i0:
-                continue
-            rows_i = self.samp.rows(np.arange(i0, i1))
-
-            def scan(bounds, rows_i=rows_i, i0=i0):
-                jc0, jc1 = bounds
-                rows_j = self.samp.rows(np.arange(jc0, jc1))
-                sums = self._pairmin_sums(rows_i, rows_j)
-                scores = self.diam - sums / self.m
-                i_grid = np.arange(i0, i0 + rows_i.shape[0])
-                j_grid = np.arange(jc0, jc1)
-                scores[i_grid[:, None] >= j_grid[None, :]] = -np.inf
-                keep = boundary_positions(scores.ravel(), beam_width)
-                if keep.size == 0:
-                    return None
-                i_arr = i_grid[keep // j_grid.size]
-                j_arr = j_grid[keep % j_grid.size]
-                return scores.ravel()[keep], i_arr, j_arr
-
-            j_chunks = [(a, min(j_hi, a + chunk))
-                        for a in range(i0 + 1, j_hi, chunk)]
-            for part in self._map(scan, j_chunks):
-                if part is not None:
-                    found.append(part)
-        if not found:
-            raise ValidationError(
-                f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in found])
-        i_arr = np.concatenate([p[1] for p in found])
-        j_arr = np.concatenate([p[2] for p in found])
+        i_arr, j_arr = np.triu_indices(n - size + 2, k=1)  # i < j <= j_max
+        scores = self.diam - self._coverage_pair_sums()[i_arr, j_arr] / self.m
         top = grouped_top(scores, i_arr, j_arr, beam_width)
-        i_top, j_top = i_arr[top], j_arr[top]
-        order = np.lexsort((j_top, i_top))
-        i_top, j_top = i_top[order], j_top[order]
-        members = np.stack([i_top, j_top], axis=1)
-        payloads = np.minimum(self.samp.rows(i_top), self.samp.rows(j_top))
-        return members, payloads
+        order = np.lexsort((j_arr[top], i_arr[top]))
+        i_top, j_top = i_arr[top][order], j_arr[top][order]
+        return self._grow(i_top[:, None], self.samp.rows(i_top),
+                          self._singleton_gains(i_top), j_top)
 
-    def _extend_coverage(self, members, payloads, length, size, beam_width):
-        n = self.n
-        n_states = members.shape[0]
-        self._count_states(n_states)
-        j_max = n - size + length
-        last = members[:, -1]
-        found = []
-        for bid in range(self.samp.n_blocks):
-            i0, i1, blk = self.samp.block(bid)
-            hi = min(i1, j_max + 1)
-            if hi <= i0:
-                continue
-            tile = blk[:hi - i0]
-            sums = np.empty((hi - i0, n_states), dtype=np.float64)
-
-            # per-state contiguous min+sum over the whole tile: large
-            # kernels, disjoint output columns — safe to fan out
-            def state_col(b, tile=tile, sums=sums):
-                sums[:, b] = np.minimum(tile, payloads[b][None, :]) \
-                    .sum(axis=1, dtype=np.float64)
-
-            self._map(state_col, list(range(n_states)))
-            scores = self.diam - sums / self.m
-            cand = np.arange(i0, hi)
-            scores[cand[:, None] <= last[None, :]] = -np.inf
-            keep = boundary_positions(scores.ravel(), beam_width)
-            if keep.size == 0:
-                continue
-            b_arr = (keep % n_states).astype(np.intp)
-            c_arr = cand[keep // n_states]
-            found.append((scores.ravel()[keep], b_arr, c_arr))
-        if not found:
+    def _extend_coverage(self, state, length, size, beam_width):
+        """One lazy level: exact scores only where the bound reaches."""
+        members, payloads, sums, bounds = state
+        n, m = self.n, self.m
+        self._count_states(members.shape[0])
+        cand = np.arange(n)
+        feasible = ((cand[None, :] > members[:, -1:])
+                    & (cand[None, :] <= n - size + length))
+        n_feasible = int(np.count_nonzero(feasible))
+        if n_feasible == 0:
             raise ValidationError(
                 f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in found])
-        b_arr = np.concatenate([p[1] for p in found])
-        c_arr = np.concatenate([p[2] for p in found])
-        top = grouped_top(scores, b_arr, c_arr, beam_width)
-        b_top, c_top = b_arr[top], c_arr[top]
-        order = np.lexsort((c_top, b_top))
-        b_top, c_top = b_top[order], c_top[order]
-        new_members = np.concatenate(
-            [members[b_top], c_top[:, None]], axis=1)
-        new_payloads = np.minimum(payloads[b_top],
-                                  self.samp.rows(c_top))
-        return new_members, new_payloads
+        # Upper bound on each pair's score: the rounding slack lowers
+        # the min-sum bound, and the score's own roundings are monotone.
+        ubound = np.where(
+            feasible, self.diam - (sums[:, None] - bounds - self._slack()) / m,
+            -np.inf)
+        # pairs per kernel call: fixed by the tile budget, never by
+        # the worker count
+        chunk = max(1, self.block_bytes // max(1, 8 * m * payloads.itemsize))
+        scores = np.full(feasible.shape, -np.inf)
+        evaluated = np.zeros_like(feasible)
+        pending = feasible.copy()
+        while pending.any():
+            # next batch: the pending pairs with the top-width bounds
+            batch = pending & (ubound >= _kth_largest(ubound[pending],
+                                                      beam_width))
+            b_arr, c_arr = np.nonzero(batch)
+            found = np.empty(b_arr.size, dtype=np.float64)
+
+            def evaluate(lo, b_arr=b_arr, c_arr=c_arr, found=found):
+                hi = min(b_arr.size, lo + chunk)
+                rows = self.samp.rows(c_arr[lo:hi])  # a fresh copy
+                np.minimum(rows, payloads[b_arr[lo:hi]], out=rows)
+                found[lo:hi] = rows.sum(axis=1, dtype=np.float64)
+
+            self._map(evaluate, list(range(0, b_arr.size, chunk)))
+            scores[b_arr, c_arr] = self.diam - found / m
+            bounds[b_arr, c_arr] = sums[b_arr] - found
+            evaluated |= batch
+            pending &= ~batch
+            # the first batch holds >= beam_width pairs (or all of them),
+            # so there is always a width-th exact score to cut at; float
+            # subtraction is monotone, so a bound that misses that cut by
+            # more than TIE_TOL cannot reach the tie-stable top
+            cut = _kth_largest(scores[evaluated], beam_width)
+            pending &= ~(cut - ubound > TIE_TOL)
+        n_done = int(np.count_nonzero(evaluated))
+        self._count_pairs(n_done, n_feasible - n_done)
+        b_arr, c_arr = np.nonzero(evaluated)
+        top = grouped_top(scores[b_arr, c_arr], b_arr, c_arr, beam_width)
+        order = np.lexsort((c_arr[top], b_arr[top]))
+        b_top, c_top = b_arr[top][order], c_arr[top][order]
+        return self._grow(members[b_top], payloads[b_top], bounds[b_top],
+                          c_top)
 
     # -- swap refinement ----------------------------------------------
 

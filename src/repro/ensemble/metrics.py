@@ -18,12 +18,19 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace
 from repro.ensemble.budgets import REPORT_SAMPLES
 from repro.ensemble.ensemble import Ensemble
+
+#: Ensembles up to this many members take the brute-force nearest-member
+#: path; a k-d tree only pays for its build above it.
+BRUTE_FORCE_MEMBERS = 24
+#: Samples per brute-force chunk: keeps the chunk's distance matrix at a
+#: few MB (16k samples × 24 members × 8 bytes ≈ 3 MB).
+BRUTE_FORCE_CHUNK = 16_384
 
 
 def _as_matrix(ensemble: "Ensemble | np.ndarray",
@@ -81,8 +88,16 @@ def mean_min_distance(
         raise ValidationError("mean_min_distance of an empty ensemble is undefined")
     if samples is None:
         samples = space.sample(n_samples, seed=seed)
-    tree = cKDTree(mat)
-    dists, _ = tree.query(samples, k=1, workers=-1)
+    if mat.shape[0] > BRUTE_FORCE_MEMBERS:
+        dists, _ = cKDTree(mat).query(samples, k=1, workers=-1)
+        return float(dists.mean())
+    # Same per-pair Euclidean distances as the tree, so the mean over
+    # the same full-length array is bitwise equal.
+    samples = np.asarray(samples, dtype=np.float64)
+    dists = np.empty(samples.shape[0], dtype=np.float64)
+    for s0 in range(0, samples.shape[0], BRUTE_FORCE_CHUNK):
+        s1 = s0 + BRUTE_FORCE_CHUNK
+        dists[s0:s1] = cdist(samples[s0:s1], mat).min(axis=1)
     return float(dists.mean())
 
 

@@ -43,6 +43,7 @@ RULES: "tuple[tuple[str, str, str, str], ...]" = (
     ("BENCH_corpus.json", "best_wall_s.*", "lower", "wall"),
     ("BENCH_ensemble.json", "*.speedup", "higher", "ratio"),
     ("BENCH_ensemble.json", "*.best_wall_s.fast", "lower", "wall"),
+    ("BENCH_ensemble.json", "*.beam_wall_s.fast", "lower", "wall"),
     ("BENCH_obs.json", "overhead", "lower", "ratio"),
     ("BENCH_obs.json", "best_wall_s.*", "lower", "wall"),
 )

@@ -346,6 +346,14 @@ def render_stats(run_dir: "str | Path", *,
     if states:
         search_extras.append("ensemble states scored: " + ", ".join(
             f"{eng}={int(n)}" for eng, n in sorted(states.items())))
+    pairs = _by_label(snapshot, "ensemble_coverage_pairs_total", "outcome")
+    if pairs:
+        pruned = pairs.get("pruned", 0.0)
+        total = sum(pairs.values()) or 1.0
+        search_extras.append(
+            f"coverage beam pairs: {int(pairs.get('evaluated', 0.0))} "
+            f"scored, {int(pruned)} pruned by the gain bound "
+            f"({100.0 * pruned / total:.1f}%)")
     cache = _by_label(snapshot, "ensemble_block_cache_total", "outcome")
     if cache:
         hits = cache.get("hit", 0.0)

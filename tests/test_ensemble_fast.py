@@ -1,10 +1,12 @@
 """Property tests for the fast ensemble-search engine.
 
-The fast engine's contract (DESIGN §15) is checked here from three
+The fast engine's contract (DESIGN §15) is checked here from four
 angles: selection parity with the tie-stable legacy reference,
-the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, and
-the blocked-kernel plumbing (LRU byte bound, hit/miss accounting,
-worker- and precision-independence of results).
+the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, the
+lazy coverage beam's pruning (full top-k parity, one shared pair
+table, evaluated/pruned accounting), and the blocked-kernel plumbing
+(LRU byte bound, hit/miss accounting, worker- and
+precision-independence of results).
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace, BehaviorVector
 from repro.ensemble.fast import (
     BlockCache,
+    FastEngine,
     PairwiseBlocks,
     SampleBlocks,
     boundary_positions,
@@ -24,7 +27,15 @@ from repro.ensemble.fast import (
     tie_sorted,
 )
 from repro.ensemble.metrics import coverage, spread
-from repro.ensemble.search import best_ensemble, exhaustive_best
+from repro.ensemble.search import (
+    best_ensemble,
+    best_ensemble_curve,
+    exhaustive_best,
+    top_k_ensembles,
+)
+from repro.obs.export import write_telemetry_json
+from repro.obs.stats import render_stats
+from repro.obs.telemetry import configure, deactivate
 
 SPACE = BehaviorSpace()
 #: One fixed sample cloud for every coverage comparison in this file —
@@ -94,6 +105,114 @@ class TestFastMatchesLegacy:
                             engine="fast")
         assert cov.score == pytest.approx(
             coverage(cov.ensemble, samples=SAMPLES), rel=1e-9)
+
+
+def duplicate_pools(min_size=8, max_size=16):
+    """Pools drawn with repetition from a handful of points: duplicate
+    members make many marginal gains exactly equal."""
+    base = st.lists(st.tuples(unit, unit, unit, unit), min_size=2,
+                    max_size=4)
+    return base.flatmap(lambda pts: st.lists(
+        st.sampled_from(pts), min_size=min_size, max_size=max_size))
+
+
+def assert_topk_equal(fast, legacy):
+    assert [r.indices for r in fast] == [r.indices for r in legacy]
+    for f, g in zip(fast, legacy):
+        assert f.score == pytest.approx(g.score, abs=1e-9)
+
+
+class TestLazyCoverageBeam:
+    """The bound-pruned coverage beam returns the same full, ordered
+    top-k list as the legacy reference, which scores every pair."""
+
+    @given(coords=pools(unit, min_size=8, max_size=16),
+           size=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_topk_generic_pools(self, coords, size):
+        self._check(make_pool(coords), size)
+
+    @given(coords=pools(grid, min_size=8, max_size=16),
+           size=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_topk_tie_heavy_pools(self, coords, size):
+        self._check(make_pool(coords), size)
+
+    @given(coords=duplicate_pools(), size=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_topk_duplicate_points(self, coords, size):
+        self._check(make_pool(coords), size)
+
+    @staticmethod
+    def _check(pool, size):
+        size = min(size, len(pool))
+        runs = {engine: top_k_ensembles(
+            pool, size, "coverage", k=12, beam_width=12, samples=SAMPLES,
+            engine=engine) for engine in ("fast", "legacy")}
+        assert_topk_equal(runs["fast"], runs["legacy"])
+
+    def test_topk_workers_bitwise(self):
+        pool = make_pool(np.random.default_rng(5).random((40, 4)))
+        serial, threaded = (top_k_ensembles(
+            pool, 6, "coverage", k=30, beam_width=30, samples=SAMPLES,
+            engine="fast", workers=w) for w in (1, 4))
+        assert [r.indices for r in serial] == [r.indices for r in threaded]
+        assert [r.score for r in serial] == [r.score for r in threaded]
+
+    def test_topk_float32_within_tolerance(self):
+        pool = make_pool(np.random.default_rng(6).random((30, 4)))
+        f32, legacy = (top_k_ensembles(
+            pool, 5, "coverage", k=20, beam_width=20, samples=SAMPLES,
+            engine=engine, precision=precision)
+            for engine, precision in (("fast", "float32"),
+                                      ("legacy", None)))
+        assert len(f32) == len(legacy)
+        for f, g in zip(f32, legacy):
+            assert f.score == pytest.approx(g.score, rel=FLOAT32_REL_TOL)
+
+    def test_curve_builds_pair_table_once(self, monkeypatch):
+        calls = []
+        build = FastEngine._build_pair_sums
+
+        def counting(engine):
+            calls.append(engine)
+            return build(engine)
+
+        monkeypatch.setattr(FastEngine, "_build_pair_sums", counting)
+        pool = make_pool(np.random.default_rng(8).random((30, 4)))
+        curve = best_ensemble_curve(pool, [2, 3, 5, 8], "coverage",
+                                    samples=SAMPLES, engine="fast")
+        assert sorted(curve) == [2, 3, 5, 8]
+        assert len(calls) == 1
+
+    def test_pruning_counters(self, tmp_path):
+        # With a beam wider than the C(99, 2) first-level pairs, every
+        # pair i < j <= 98 survives level 1, so the second level's
+        # feasible (state, candidate) pairs have a closed form.
+        n, size, width = 100, 3, 5_000
+        pool = make_pool(np.random.default_rng(10).random((n, 4)))
+        tel = configure("full")
+        try:
+            top_k_ensembles(pool, size, "coverage", k=1, beam_width=width,
+                            samples=SAMPLES, engine="fast")
+            evaluated = tel.counter_value("ensemble_coverage_pairs_total",
+                                          outcome="evaluated")
+            pruned = tel.counter_value("ensemble_coverage_pairs_total",
+                                       outcome="pruned")
+            write_telemetry_json(tmp_path, tel.snapshot(), run="prune",
+                                 level="full")
+        finally:
+            deactivate()
+        j_max = n - size + 1
+        feasible = sum(j * (n - 1 - j) for j in range(1, j_max + 1))
+        assert pruned > 0
+        assert evaluated >= width
+        assert evaluated + pruned == feasible
+        assert f"{int(evaluated)} scored, {int(pruned)} pruned" \
+            in render_stats(tmp_path)
 
 
 class TestGreedyGuarantee:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace, BehaviorVector
@@ -16,7 +17,13 @@ from repro.ensemble.constrained import (
     truncate_trace,
 )
 from repro.ensemble.frequency import algorithm_frequencies
-from repro.ensemble.metrics import coverage, spread
+from repro.ensemble.metrics import (
+    BRUTE_FORCE_CHUNK,
+    BRUTE_FORCE_MEMBERS,
+    coverage,
+    mean_min_distance,
+    spread,
+)
 from repro.ensemble.search import (
     best_ensemble,
     best_ensemble_curve,
@@ -188,6 +195,39 @@ class TestTopK:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             top_k_ensembles(random_pool(8), 2, "spread", k=0)
+
+
+class TestReportingCoverage:
+    """Small ensembles take the chunked brute-force path; its value is
+    bitwise equal to the k-d tree's on either side of the cutoff."""
+
+    SIZES = (1, 2, 7, BRUTE_FORCE_MEMBERS, BRUTE_FORCE_MEMBERS + 1, 40)
+
+    @staticmethod
+    def tree_value(members, samples):
+        return float(cKDTree(members).query(samples, k=1)[0].mean())
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_random_ensembles(self, size):
+        rng = np.random.default_rng(size)
+        samples = BehaviorSpace().sample(2 * BRUTE_FORCE_CHUNK + 123,
+                                         seed=size)
+        for _ in range(5):
+            members = rng.random((size, 4))
+            assert mean_min_distance(members, samples=samples) \
+                == self.tree_value(members, samples)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_tie_heavy_grid_ensembles(self, size):
+        # members and samples on one coarse grid: many samples sit at
+        # equal distance from several members, or exactly on one
+        rng = np.random.default_rng(100 + size)
+        grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        samples = grid[rng.integers(0, 5, (BRUTE_FORCE_CHUNK + 77, 4))]
+        for _ in range(5):
+            members = grid[rng.integers(0, 5, (size, 4))]
+            assert mean_min_distance(members, samples=samples) \
+                == self.tree_value(members, samples)
 
 
 class TestBounds:
