@@ -1,13 +1,18 @@
-"""Corpus-build wall time: shared-memory graph plane vs legacy.
+"""Corpus-build wall time: shared-memory graph plane vs legacy, and
+the zero-peer distributed queue vs the supervised build.
 
-Times two full smoke-profile corpus builds with 2 workers:
+Times three full smoke-profile corpus builds with 2 workers:
 
 - **plane** — the default path: every distinct graph is materialized
   once, published into shared memory, and attached zero-copy by the
   workers;
 - **no_plane** — the pre-plane behavior (``use_shm=False`` and a
   disabled graph cache), where every one of the ~215 cells regenerates
-  its graph from the spec.
+  its graph from the spec;
+- **distributed** — the default path run as a coordinator over a
+  distributed queue with zero peers: the same crew and plane behind
+  the queue's claims, fenced publishes and done markers. Its best wall
+  must stay within ``MAX_DISTRIBUTED_OVERHEAD`` of the plane arm's.
 
 Arms alternate and each is repeated; the best-of-N wall time per arm
 cancels pool-startup and scheduler noise. The measured times, the
@@ -32,10 +37,14 @@ REPEATS = 3
 #: noisy to show the expected ordering (the build is engine-dominated
 #: at smoke scale; the materialization saving is a few hundred ms).
 MAX_REPEATS = 6
+#: Bound on best distributed / best plane wall: the queue's coordination
+#: cost must stay a small fraction of a supervised build.
+MAX_DISTRIBUTED_OVERHEAD = 1.25
 
 ARMS = {
     "plane": dict(use_shm=True),
     "no_plane": dict(use_shm=False, graph_cache_bytes=0),
+    "distributed": dict(use_shm=True),
 }
 
 
@@ -56,6 +65,9 @@ def test_bench_corpus_graph_plane(tmp_path):
             round_no < MAX_REPEATS
             and min(walls["plane"]) > min(walls["no_plane"])):
         for arm, kwargs in ARMS.items():
+            if arm == "distributed":
+                kwargs = dict(kwargs,
+                              distributed=tmp_path / f"queue-{round_no}")
             wall, corpus = _timed_build(
                 profile, tmp_path / f"{arm}-{round_no}", **kwargs)
             walls[arm].append(wall)
@@ -64,7 +76,9 @@ def test_bench_corpus_graph_plane(tmp_path):
 
     plane = corpora["plane"]
     no_plane = corpora["no_plane"]
+    distributed = corpora["distributed"]
     assert plane.graph_plane and not no_plane.graph_plane
+    assert distributed.distributed and distributed.queue_leftovers == 0
     assert plane.premat_graphs > 0
 
     plane_timing = plane.timing_decomposition()
@@ -74,6 +88,9 @@ def test_bench_corpus_graph_plane(tmp_path):
     # worker cache) instead of regenerating.
     assert plane_timing["graph_reuses"] == plane_timing["cells"]
     assert no_plane_timing["graph_reuses"] == 0
+    distributed_timing = distributed.timing_decomposition()
+    assert distributed_timing["cells"] == plane_timing["cells"]
+    assert distributed_timing["store_s"] > 0
     # The plane removes nearly all per-cell materialization cost.
     assert plane_timing["materialize_s"] < no_plane_timing["materialize_s"]
 
@@ -85,15 +102,19 @@ def test_bench_corpus_graph_plane(tmp_path):
         "wall_s": walls,
         "best_wall_s": best,
         "speedup": best["no_plane"] / best["plane"],
+        "distributed_overhead": best["distributed"] / best["plane"],
         "plane": {
             "premat_graphs": plane.premat_graphs,
             "premat_seconds": plane.premat_seconds,
             "timing": plane_timing,
         },
         "no_plane": {"timing": no_plane_timing},
+        "distributed": {"timing": distributed_timing},
     }
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     path = ARTIFACT_DIR / "BENCH_corpus.json"
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     assert best["plane"] <= best["no_plane"], report
+    assert (best["distributed"]
+            <= MAX_DISTRIBUTED_OVERHEAD * best["plane"]), report

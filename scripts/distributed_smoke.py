@@ -11,6 +11,9 @@ Runs, on a single machine:
    - one agent is SIGKILLed mid-lease (``REPRO_INJECT_NODE_KILL``),
    - one agent freezes past its lease, then wakes and tries to
      publish with a fenced epoch (``REPRO_INJECT_NODE_FREEZE``),
+   - the coordinator's own crew stalls each cell briefly
+     (``REPRO_INJECT_STALL``, set in the coordinator process only), so
+     both peers claim cells before the coordinator runs out of plan,
 
 and asserts the robustness contract end to end:
 
@@ -52,6 +55,10 @@ sys.path.insert(0, str(SRC))
 FREEZE_S = 6.0
 LEASE_TIMEOUT_S = 2.5
 HEARTBEAT_S = 0.2
+#: Stall of every cell on the coordinator's own crew, well under the
+#: lease: the coordinator alone would otherwise finish the tiny plan
+#: before either peer claims a cell, and no chaos would fire.
+COORDINATOR_STALL = "dist-smoke:0.5"
 
 
 def log(msg: str) -> None:
@@ -130,13 +137,19 @@ def run(timeout_s: float, keep: bool) -> int:
         ]
         t0 = time.monotonic()
         obs_dir = scratch / "obs"
-        dist = build_corpus(profile,
-                            store=ResultStore(scratch / "store-dist"),
-                            workers=1,
-                            distributed=queue_dir,
-                            lease_timeout_s=LEASE_TIMEOUT_S,
-                            heartbeat_every_s=HEARTBEAT_S,
-                            obs="full", obs_dir=obs_dir)
+        # The peers already hold their environment; the coordinator's
+        # crew, forked inside build_corpus, inherits the stall.
+        os.environ["REPRO_INJECT_STALL"] = COORDINATOR_STALL
+        try:
+            dist = build_corpus(profile,
+                                store=ResultStore(scratch / "store-dist"),
+                                workers=1,
+                                distributed=queue_dir,
+                                lease_timeout_s=LEASE_TIMEOUT_S,
+                                heartbeat_every_s=HEARTBEAT_S,
+                                obs="full", obs_dir=obs_dir)
+        finally:
+            os.environ.pop("REPRO_INJECT_STALL", None)
         log(f"distributed: {len(dist.runs)} runs, "
             f"{len(dist.failures)} failures, "
             f"nodes seen {dist.nodes_seen}, lost {dist.nodes_lost}, "

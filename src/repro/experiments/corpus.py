@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -798,7 +799,9 @@ def build_corpus(
         shape; with an unreachable queue root it falls back to the
         ordinary in-process path. ``lease_timeout_s`` doubles as the
         node heartbeat timeout. Results flow through the shared
-        ``store`` (created at the default location when None).
+        ``store``; without one (``use_cache=False``) the build uses a
+        fresh store inside the queue's ``work/`` directory, removed by
+        the queue's final sweep, so nothing is cached past the build.
     """
     if not isinstance(profile, Profile):
         profile = get_profile(profile)
@@ -866,9 +869,10 @@ def build_corpus(
             )
 
             if store is None:
-                # The queue protocol transports results through the
-                # shared store; a distributed build cannot run cacheless.
-                store = ResultStore()
+                # The queue protocol transports results through a
+                # shared store: scope a fresh one to this build.
+                store = ResultStore(dist_queue.work_dir
+                                    / f"store-{uuid.uuid4().hex[:8]}")
             tel.set_node("coordinator")
             manifest = {
                 "profile": profile_to_dict(profile),

@@ -53,13 +53,14 @@ sweep that leaves no queue/heartbeat/shm artifacts behind.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import socket
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -128,14 +129,16 @@ class TaskRecord:
     The id is the sanitized cell key plus a hash of the canonical
     record JSON — readable enough that sorting pending ids groups
     same-graph cells (preserving graph-affinity scheduling across
-    nodes), collision-proof because of the digest suffix.
+    nodes), collision-proof because of the digest suffix. It is
+    computed once per record: the coordinator's loop asks for it on
+    every tick.
     """
 
     cell_key: str
     algorithm: str
     spec: GraphSpec
 
-    @property
+    @functools.cached_property
     def task_id(self) -> str:
         digest = hashlib.blake2b(
             json.dumps(self._payload(), sort_keys=True).encode("utf-8"),
@@ -551,13 +554,18 @@ def publish_result(queue: DistributedQueue, store: Any, node: str,
     The order matters: fence check, then store publish, then marker.
     A death after the store publish but before the marker wastes
     nothing — the replacement finds the store entry and marks done
-    without re-executing.
+    without re-executing. The marker carries the trace write's
+    seconds as ``store_s``, the figure a supervised build's workers
+    time around their own store write.
     """
     if not queue.check_fence(node, epoch):
         return False
     status = "ok"
+    store_s = None
     if run.trace is not None:
+        started = time.perf_counter()
         store.save(record.cell_key, run.trace)
+        store_s = time.perf_counter() - started
         if run.trace.degraded:
             status = "degraded"
     else:
@@ -565,7 +573,7 @@ def publish_result(queue: DistributedQueue, store: Any, node: str,
         status = "failed"
     queue.mark_done(record.task_id, {
         "status": status, "node": node, "epoch": int(epoch),
-        "source": source,
+        "source": source, "store_s": store_s,
         "failure_kind": None if run.failure is None else run.failure.kind,
     })
     return True
@@ -651,13 +659,12 @@ class Coordinator:
                 if self._stop():
                     interrupted = True
                     break
-                now = time.time()
-                agent.tick()
-                self._supervise(now)
+                # Wakes on a local result, else after poll_s: peers'
+                # beats, claims and done markers are re-read at least
+                # that often.
+                agent.tick(self.poll_s)
+                self._supervise(time.time())
                 self._collect()
-                if self._collect_ptr >= len(self.plan):
-                    break
-                time.sleep(self.poll_s)
         finally:
             self.queue.mark_complete()
             agent.shutdown()
@@ -699,8 +706,7 @@ class Coordinator:
     # Node supervision: fencing, requeue, quarantine
     # ------------------------------------------------------------------
     def _supervise(self, now: float) -> None:
-        self._harvest_beats()
-        beats = self.queue.read_beats()
+        beats = self._harvest_beats()
         by_node: "dict[str, list[Claim]]" = {}
         for claim in self.queue.claims():
             by_node.setdefault(claim.node, []).append(claim)
@@ -879,8 +885,10 @@ class Coordinator:
             return None
         trace = self.store.load(record.cell_key)
         if trace is not None:
+            store_s = marker.get("store_s") if marker is not None else None
             return CorpusRun(record.algorithm, record.spec, trace,
-                             compute_metrics(trace), source=source)
+                             compute_metrics(trace), source=source,
+                             store_s=store_s)
         failure = self.store.load_failure(record.cell_key)
         if failure is not None:
             return CorpusRun(record.algorithm, record.spec, None, None,

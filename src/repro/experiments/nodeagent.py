@@ -283,9 +283,19 @@ class NodeAgent:
     # ------------------------------------------------------------------
     # Tick
     # ------------------------------------------------------------------
-    def tick(self) -> None:
-        """One supervision round; cheap when nothing happened."""
+    def tick(self, wait_s: float) -> None:
+        """One supervision round, blocking up to ``wait_s`` on the crew.
+
+        The round reconciles the local crew, claims and dispatches, then
+        waits on the crew's result queue. A local result ends the wait
+        at once; the freed worker is refilled (claim, dispatch, and any
+        materialize→run follow-on) before the finished cell's fenced
+        store publish, so a worker never idles behind publication.
+        ``wait_s`` therefore bounds only how long an idle node goes
+        without re-reading the queue.
+        """
         if not self._started or self._stopping:
+            time.sleep(wait_s)  # keep the caller's loop paced
             return
         board, crew, site = self._board, self._crew, self._site
         now = time.time()
@@ -298,17 +308,29 @@ class NodeAgent:
                 self._on_worker_death(handle, now)
             for task, lease in board.expired_leases(now):
                 self._on_local_expiry(task, lease, now)
-            if not self.queue.complete():
-                self._claim_pending()
-            self._dispatch_ready(now)
-            envelope = crew.poll_result(0.0)
+            self._fill(now)
+            envelope = crew.poll_result(wait_s)
+            if envelope is None:
+                return
+            finished = []
             while envelope is not None:
-                self._on_result(envelope)
+                done = self._on_result(envelope)
+                if done is not None:
+                    finished.append(done)
                 envelope = crew.poll_result(0.0)
+            self._fill(time.time())
+            for record, claim, run in finished:
+                self._publish(record, claim, run)
         except OSError:
             # The queue root vanished under us (swept after completion,
             # or the shared filesystem went away): nothing left to do.
             self._stopping = True
+
+    def _fill(self, now: float) -> None:
+        """Claim what the idle crew can start and dispatch ready tasks."""
+        if not self.queue.complete():
+            self._claim_pending()
+        self._dispatch_ready(now)
 
     @property
     def drained(self) -> bool:
@@ -543,17 +565,20 @@ class NodeAgent:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _on_result(self, envelope) -> None:
+    def _on_result(self, envelope) -> "tuple | None":
+        """Settle one local result on the board. Returns the
+        ``(record, claim, run)`` still to be published, or None when
+        nothing is (a materialize task or a stale lease)."""
         self._crew.mark_idle(envelope.worker)
         self._last_activity = time.monotonic()
         task = self._board.get(envelope.task_id)
         if task is None:
-            return
+            return None
         if task.kind == "materialize":
             if envelope.ok:
                 self._publish_materialized(envelope.value)
             self._board.complete(task.id, None)
-            return
+            return None
         self._maybe_freeze(task.id)
         record = self._records.get(task.id)
         claim = self._claims.get(task.id)
@@ -569,9 +594,13 @@ class NodeAgent:
                             record.spec if record else None, None, None,
                             failure=envelope.error)
         if not accepted or record is None or claim is None:
-            return  # stale local lease: the replacement owns the cell
+            return None  # stale local lease: the replacement owns the cell
         self._claims.pop(task.id, None)
         self._records.pop(task.id, None)
+        return record, claim, run
+
+    def _publish(self, record: TaskRecord, claim: Claim, run) -> None:
+        """Fence-checked store publish of one finished cell."""
         if run.obs_snapshot is not None:
             # Fold the worker's per-cell metric delta into this node's
             # registry; it reaches the coordinator via the node sink.
@@ -583,7 +612,7 @@ class NodeAgent:
                 self.tel.inc("distqueue_publishes_total",
                              status="ok" if run.ok else "failed")
         else:
-            self._count_stale(task.id, claim.epoch)
+            self._count_stale(record.task_id, claim.epoch)
         self.queue.drop_claim(claim)
 
     def _count_stale(self, task_id: str, epoch: int) -> None:
@@ -697,7 +726,7 @@ class NodeAgent:
             return 1
         try:
             while not self._stopping:
-                self.tick()
+                self.tick(self.poll_s)
                 if self.queue.complete() and self.drained:
                     break
                 if not (self.queue.root / "manifest.json").exists():
@@ -706,7 +735,6 @@ class NodeAgent:
                         and time.monotonic() - self._last_activity
                         > self.idle_exit_s):
                     break
-                time.sleep(self.poll_s)
         finally:
             self.shutdown()
         return 0

@@ -24,9 +24,14 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import GraphSpec, PlannedRun, Profile
-from repro.experiments.corpus import build_corpus
+from repro.experiments.corpus import (
+    BehaviorCorpus,
+    ExperimentMatrix,
+    build_corpus,
+)
 from repro.experiments.distqueue import (
     Claim,
+    Coordinator,
     DistributedQueue,
     NodeBeat,
     TaskRecord,
@@ -94,6 +99,16 @@ class TestTaskRecord:
         assert a.task_id == b.task_id
         assert _record(algorithm="dfs").task_id != a.task_id
         assert _record(key="cell-b").task_id != a.task_id
+
+    def test_task_id_is_computed_once_and_survives_roundtrip(self):
+        record = _record()
+        first = record.task_id
+        assert record.__dict__["task_id"] is first
+        assert record.task_id is first
+        again = TaskRecord.from_dict(record.to_dict())
+        assert "task_id" not in again.__dict__
+        assert again.task_id == first
+        assert "task_id" not in record.to_dict()
 
     def test_task_id_is_filesystem_safe(self):
         record = _record(key="ga/bfs α=2.0:n=200")
@@ -327,6 +342,21 @@ class TestPublishResult:
                                   _FakeRun(trace=_Trace()))
         assert store.saved == []
 
+    def test_marker_carries_store_seconds_of_traces_only(self, tmp_path):
+        queue = _queue(tmp_path)
+        store = _FakeStore()
+
+        class _Trace:
+            degraded = False
+
+        ok, failed = _record("cell-ok"), _record("cell-failed")
+        publish_result(queue, store, "n1", 1, ok, _FakeRun(trace=_Trace()))
+        publish_result(queue, store, "n1", 1, failed,
+                       _FakeRun(failure=RunFailure(kind="crash",
+                                                   message="boom")))
+        assert queue.read_done(ok.task_id)["store_s"] >= 0.0
+        assert queue.read_done(failed.task_id)["store_s"] is None
+
 
 class TestSweep:
     def test_sweep_removes_everything(self, tmp_path):
@@ -365,6 +395,53 @@ class TestCoordinatorEndToEnd:
         assert not (tmp_path / "queue").exists()
         assert self._vectors(dist) == self._vectors(inline)
 
+    def test_zero_peer_build_wakes_on_completion(self, tmp_path,
+                                                 monkeypatch):
+        """The loop wakes on each local result instead of sleeping
+        ``poll_s`` per tick, so even a 2 s poll finishes the build in a
+        fraction of cells × poll_s. Each executed cell's publish time
+        reaches the corpus through its done marker."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        plan = ExperimentMatrix(DQ_PROFILE).corpus_runs()
+        store = ResultStore(tmp_path / "store")
+        corpus = BehaviorCorpus(profile=DQ_PROFILE)
+        poll_s = 2.0
+        coordinator = Coordinator(
+            queue=DistributedQueue(tmp_path / "queue"), plan=plan,
+            profile=DQ_PROFILE, store=store, corpus=corpus,
+            manifest={"profile": profile_to_dict(DQ_PROFILE),
+                      "store_root": str(store.root)},
+            node_workers=2, poll_s=poll_s)
+        started = time.monotonic()
+        coordinator.run()
+        elapsed = time.monotonic() - started
+        assert not corpus.failures
+        assert len(corpus.runs) == len(plan)
+        assert elapsed < len(plan) * poll_s / 4, elapsed
+        assert corpus.n_executed == len(plan)
+        assert all(r.store_s is not None and r.store_s > 0
+                   for r in corpus.runs)
+        assert corpus.timing_decomposition()["store_s"] > 0
+
+    def test_no_cache_builds_execute_every_cell(self, tmp_path,
+                                                monkeypatch):
+        """``use_cache=False`` scopes the build's store to the queue:
+        nothing reaches the default cache, so a second cacheless build
+        executes every cell again."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.chdir(tmp_path)
+        planned = len(ExperimentMatrix(DQ_PROFILE).corpus_runs())
+        for _ in range(2):
+            dist = build_corpus(DQ_PROFILE, use_cache=False, workers=1,
+                                distributed=tmp_path / "queue")
+            assert not dist.failures
+            assert dist.n_executed == planned
+            assert dist.queue_leftovers == 0
+            assert not (tmp_path / "queue").exists()
+        assert not cache.exists()
+        assert not (tmp_path / ".repro_cache").exists()
+
     def test_ghost_node_claim_is_fenced_and_requeued(self, tmp_path,
                                                      monkeypatch):
         """A peer that claimed a task and vanished without ever
@@ -377,8 +454,6 @@ class TestCoordinatorEndToEnd:
                               workers=1)
         queue = DistributedQueue(tmp_path / "queue")
         queue.ensure_layout()
-        from repro.experiments.corpus import ExperimentMatrix
-
         planned = ExperimentMatrix(DQ_PROFILE).corpus_runs()[0]
         record = TaskRecord.for_planned(planned, DQ_PROFILE)
         ghost_claim = (queue.claims_dir
